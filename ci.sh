@@ -32,8 +32,7 @@ fi
 # hand-edits that no longer match reality.
 echo "==> mira-lint allowlist drift"
 fresh_allowlist="$(mktemp)"
-lint_cache="$(mktemp -u)"
-trap 'rm -f "$fresh_allowlist" "$lint_cache"' EXIT
+trap 'rm -f "$fresh_allowlist"' EXIT
 cargo run -q -p mira-lint -- --write-allowlist --allowlist "$fresh_allowlist" >/dev/null
 if ! diff -u lint-allow.toml "$fresh_allowlist"; then
   echo "ci: lint-allow.toml drifted; run: cargo run -p mira-lint -- --write-allowlist" >&2
@@ -42,8 +41,7 @@ fi
 
 # The sharded scan must be worker-count invariant: the full JSON
 # document (findings, order, bytes) may not change between 1, 4, and
-# 8 lint threads. Together with the cache gate below this covers
-# RULE_VERSION 4 (the v4 concurrency rules run under both gates).
+# 8 lint threads, the semantic and concurrency rules included.
 echo "==> mira-lint determinism under MIRA_LINT_THREADS=1 vs 4 vs 8"
 lint_one="$(MIRA_LINT_THREADS=1 cargo run -q -p mira-lint -- --format json)"
 lint_four="$(MIRA_LINT_THREADS=4 cargo run -q -p mira-lint -- --format json)"
@@ -52,19 +50,6 @@ if [ "$lint_one" != "$lint_four" ] || [ "$lint_one" != "$lint_eight" ]; then
   echo "ci: mira-lint JSON differs across 1/4/8 threads" >&2
   diff <(printf '%s' "$lint_one") <(printf '%s' "$lint_four") >&2 || true
   diff <(printf '%s' "$lint_one") <(printf '%s' "$lint_eight") >&2 || true
-  exit 1
-fi
-
-# Cache invariance: a cold scan, the scan that populates the cache,
-# and a fully warm scan must all emit the same bytes. A cache that
-# changes findings is worse than no cache.
-echo "==> mira-lint cache invariance (cold vs populate vs warm)"
-lint_cold="$(cargo run -q -p mira-lint -- --format json)"
-lint_populate="$(cargo run -q -p mira-lint -- --format json --cache-file "$lint_cache")"
-lint_warm="$(cargo run -q -p mira-lint -- --format json --cache-file "$lint_cache")"
-if [ "$lint_cold" != "$lint_populate" ] || [ "$lint_cold" != "$lint_warm" ]; then
-  echo "ci: mira-lint cached scan differs from cold scan" >&2
-  diff <(printf '%s' "$lint_cold") <(printf '%s' "$lint_warm") >&2 || true
   exit 1
 fi
 

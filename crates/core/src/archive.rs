@@ -14,8 +14,7 @@
 //! columnar archive scanned with [`mira_store::Archive::scan_span`]
 //! all produce byte-identical text.
 
-use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{BufRead, Write};
 
 use mira_cooling::CoolantMonitorSample;
 use mira_ras::RasEvent;
@@ -25,65 +24,6 @@ use mira_timeseries::{Duration, SimTime};
 
 use crate::error::Error;
 use crate::telemetry::TelemetryEngine;
-
-/// Errors arising when reading an archive.
-#[deprecated(
-    since = "0.1.0",
-    note = "folded into the structured `mira_core::StoreError` \
-            (`Error::Store`); this alias-shaped enum only remains for \
-            downstream `match` arms mid-migration"
-)]
-#[derive(Debug)]
-pub enum ArchiveError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// A malformed row, with its 1-based line number.
-    Parse {
-        /// 1-based line number of the offending row.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-}
-
-#[allow(deprecated)]
-impl From<ArchiveError> for StoreError {
-    fn from(e: ArchiveError) -> Self {
-        match e {
-            ArchiveError::Io(e) => StoreError::Io(e),
-            ArchiveError::Parse { line, message } => StoreError::Parse { line, message },
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl fmt::Display for ArchiveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArchiveError::Io(e) => write!(f, "archive i/o error: {e}"),
-            ArchiveError::Parse { line, message } => {
-                write!(f, "archive parse error at line {line}: {message}")
-            }
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl std::error::Error for ArchiveError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ArchiveError::Io(e) => Some(e),
-            ArchiveError::Parse { .. } => None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<io::Error> for ArchiveError {
-    fn from(e: io::Error) -> Self {
-        ArchiveError::Io(e)
-    }
-}
 
 /// The telemetry CSV header.
 pub const TELEMETRY_HEADER: &str = mira_store::TELEMETRY_HEADER;

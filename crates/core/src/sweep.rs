@@ -57,14 +57,6 @@ pub enum SweepError {
     EmptySpan,
     /// The sampling step is zero or negative.
     NonPositiveStep,
-    /// An incremental append skipped or repeated a grid instant: the
-    /// engine only accepts the next instant on the sample grid.
-    MisalignedAppend {
-        /// The next grid instant the engine expects.
-        expected: SimTime,
-        /// The instant actually appended.
-        got: SimTime,
-    },
 }
 
 impl std::fmt::Display for SweepError {
@@ -72,10 +64,6 @@ impl std::fmt::Display for SweepError {
         match self {
             SweepError::EmptySpan => write!(f, "sweep span is empty (from >= to)"),
             SweepError::NonPositiveStep => write!(f, "sweep step must be positive"),
-            SweepError::MisalignedAppend { expected, got } => write!(
-                f,
-                "misaligned append: expected grid instant {expected}, got {got}"
-            ),
         }
     }
 }
@@ -144,25 +132,6 @@ pub struct SweepStep {
     pub truths: Vec<RackTruth>,
     /// Coolant-monitor observations per rack.
     pub samples: Vec<CoolantMonitorSample>,
-}
-
-impl TelemetryEngine {
-    /// Computes one full [`SweepStep`] at `t`: one snapshot, then one
-    /// truth + observation per rack (the truth is *not* recomputed for
-    /// the observation, unlike calling [`TelemetryEngine::rack_truth`]
-    /// and [`TelemetryEngine::observe`] separately).
-    ///
-    /// One-shot convenience over [`TelemetryEngine::sweep_step_into`];
-    /// loops should build a [`crate::SweepScratch`] once and reuse it.
-    #[deprecated(note = "allocates a fresh scratch per call; reuse a SweepScratch via \
-                sweep_scratch()/sweep_step_into, or feed an IncrementalSweep \
-                via IncrementalSweep::ingest")]
-    #[must_use]
-    pub fn sweep_step(&self, t: SimTime) -> SweepStep {
-        let mut scratch = self.sweep_scratch();
-        self.sweep_step_into(t, &mut scratch);
-        scratch.into_step()
-    }
 }
 
 /// A streaming analysis that can run sharded: fold [`SweepStep`]s,
@@ -581,12 +550,12 @@ mod tests {
     }
 
     #[test]
-    // The one-shot entry point stays correct while deprecated.
-    #[allow(deprecated)]
     fn sweep_step_matches_piecewise_queries() {
         let e = engine();
         let at = t(2017, 6, 15) + Duration::from_hours(7);
-        let step = e.sweep_step(at);
+        let mut scratch = e.sweep_scratch();
+        e.sweep_step_into(at, &mut scratch);
+        let step = scratch.step();
         let snap = e.snapshot(at);
         assert_eq!(step.snapshot, snap);
         for rack in RackId::all() {

@@ -129,12 +129,11 @@ pub struct TelemetryEngine {
     /// Single-entry memo for the hydraulic solve, keyed on its exact
     /// inputs. Random-access callers ([`TelemetryProvider::sample`]
     /// probes 48 racks at one instant through 48 snapshots) hit it; the
-    /// scratch sweep path solves exactly once per step and never reads
-    /// it.
+    /// sweep kernel solves in its own lanes and never reads it.
     hydro_memo: Mutex<Option<(HydroKey, Vec<Gpm>)>>,
     /// Hydraulic-solve memo hits since construction.
     hydro_hits: AtomicU64,
-    /// Hydraulic solves actually performed since construction.
+    /// Random-access hydraulic solves performed since construction.
     hydro_misses: AtomicU64,
     seed: u64,
     climate: ChicagoClimate,
@@ -274,7 +273,12 @@ impl TelemetryEngine {
     }
 
     /// Hydraulic-solve memo counters `(hits, misses)` accumulated since
-    /// the engine was built. A miss is a solve actually performed.
+    /// the engine was built, counting random-access solves only
+    /// ([`Self::snapshot`] and the callers built on it). A miss is a
+    /// solve actually performed. The sweep kernel
+    /// ([`Self::sweep_steps_into`]) solves once per instant in its own
+    /// lanes and is not counted: on a sweep both numbers are fixed by
+    /// the plan.
     #[must_use]
     pub fn hydro_cache_stats(&self) -> (u64, u64) {
         (
@@ -559,7 +563,7 @@ impl TelemetryEngine {
 
     /// Computes the full [`SweepStep`] at `t` into `scratch`, reusing
     /// its buffers and cursors: zero heap allocation per step once the
-    /// scratch is warm, and bit-identical to [`Self::sweep_step`].
+    /// scratch is warm.
     ///
     /// This is the batched kernel [`Self::sweep_steps_into`] run over a
     /// one-instant block, with the per-instant view materialized into
@@ -630,13 +634,6 @@ impl TelemetryEngine {
         if len == 0 {
             return;
         }
-
-        // The sweep grid never revisits an instant, so every instant is
-        // a fresh hydraulic solve: one batched add keeps the miss
-        // counter honest about work performed without a per-step atomic
-        // RMW. The single-entry `hydro_memo` is never consulted here —
-        // it serves only random-access callers via `snapshot`.
-        self.hydro_misses.fetch_add(len as u64, Ordering::Relaxed);
 
         // Pass 1: per-instant scalars.
         for k in 0..len {

@@ -34,8 +34,7 @@
 //! live in [`concurrency`]). Files are scanned in
 //! parallel (`MIRA_LINT_THREADS`, same shard-claim discipline as
 //! `mira-core::sweep`) and findings merge in deterministic file order,
-//! so output is byte-identical at any worker count — and byte-identical
-//! between cold and incremental-cache runs ([`cache`]).
+//! so output is byte-identical at any worker count.
 //!
 //! Violations can be waved through inline (`// mira-lint:
 //! allow(<rule>)` on the offending line or the one above) or
@@ -45,7 +44,6 @@
 //! engine under `cargo test`, so the gate cannot be skipped.
 
 pub mod allowlist;
-pub mod cache;
 pub mod callgraph;
 pub(crate) mod concurrency;
 pub mod dataflow;
@@ -201,53 +199,7 @@ impl Workspace {
     /// the work).
     #[must_use]
     pub fn scan(&self, threads: usize) -> Vec<Finding> {
-        let cached = vec![None; self.sources.len()];
-        self.assemble(scan_files_sharded(&self.sources, threads.max(1), &cached))
-    }
-
-    /// [`Workspace::scan`] with an incremental cache at `cache_path`.
-    ///
-    /// Per-file *line* findings are keyed by content hash: an unchanged
-    /// file skips its line rules (it is still lexed and parsed — the
-    /// semantic pass needs the whole-workspace index either way), and a
-    /// fully unchanged workspace returns the stored final findings
-    /// without scanning at all. Cached and cold results are
-    /// byte-identical (gated in ci.sh); the cache self-invalidates on
-    /// any [`cache::RULE_VERSION`] bump.
-    #[must_use]
-    pub fn scan_with_cache(&self, threads: usize, cache_path: &Path) -> Vec<Finding> {
-        let digest: Vec<(String, u64)> = self
-            .sources
-            .iter()
-            .map(|(rel, text)| {
-                (
-                    rel.to_string_lossy().replace('\\', "/"),
-                    cache::content_hash(text),
-                )
-            })
-            .collect();
-        let prior = cache::ScanCache::load(cache_path);
-        if let Some(cache) = &prior {
-            if cache.matches(&digest) {
-                return cache.final_findings.clone();
-            }
-        }
-        let cached: Vec<Option<Vec<Finding>>> = digest
-            .iter()
-            .map(|(path, hash)| {
-                prior
-                    .as_ref()
-                    .and_then(|c| c.line_findings_for(path, *hash))
-                    .map(<[Finding]>::to_vec)
-            })
-            .collect();
-        let per_file = scan_files_sharded(&self.sources, threads.max(1), &cached);
-        let raw: Vec<Vec<Finding>> = per_file.iter().map(|(f, _)| f.clone()).collect();
-        let findings = self.assemble(per_file);
-        let next = cache::ScanCache::new(&digest, raw, findings.clone());
-        // Best-effort: a read-only target dir degrades to cold scans.
-        let _ = next.store(cache_path);
-        findings
+        self.assemble(scan_files_sharded(&self.sources, threads.max(1)))
     }
 
     /// The post-shard pipeline: merge per-file passes in file order,
@@ -286,25 +238,18 @@ impl Workspace {
 
 type FilePass = (Vec<Finding>, parser::ParsedFile);
 
-/// One file's pass. `cached` short-circuits the line rules only: the
-/// lex + parse still run because the semantic pass needs every file's
-/// items regardless of what changed.
-fn scan_file(rel: &Path, text: &str, cached: Option<&[Finding]>) -> FilePass {
+/// One file's pass: lex, line rules, parse.
+fn scan_file(rel: &Path, text: &str) -> FilePass {
     let lines = lexer::analyze(text);
-    let findings = cached.map_or_else(|| check_file(rel, &lines), <[Finding]>::to_vec);
+    let findings = check_file(rel, &lines);
     let parsed = parser::parse_file(rel, text, &lines, &rules::UNIT_TYPES);
     (findings, parsed)
 }
 
 /// The deterministic shard scan: `workers` threads claim file indices
 /// from a shared counter; each result lands in its file's slot; the
-/// merge reads slots in file order. `cached[i]` carries file `i`'s
-/// cache-hit line findings, when any.
-fn scan_files_sharded(
-    sources: &[(PathBuf, String)],
-    threads: usize,
-    cached: &[Option<Vec<Finding>>],
-) -> Vec<FilePass> {
+/// merge reads slots in file order.
+fn scan_files_sharded(sources: &[(PathBuf, String)], threads: usize) -> Vec<FilePass> {
     let workers = threads.min(sources.len()).max(1);
     let slots: Vec<Mutex<Option<FilePass>>> = sources.iter().map(|_| Mutex::new(None)).collect();
 
@@ -317,7 +262,7 @@ fn scan_files_sharded(
                     let Some((rel, text)) = sources.get(i) else {
                         break;
                     };
-                    let pass = scan_file(rel, text, cached[i].as_deref());
+                    let pass = scan_file(rel, text);
                     if let Ok(mut slot) = slots[i].lock() {
                         *slot = Some(pass);
                     }
@@ -336,7 +281,7 @@ fn scan_files_sharded(
             };
             // Single-threaded mode, or a slot a worker failed to fill:
             // compute inline so the scan never silently drops a file.
-            inner.unwrap_or_else(|| scan_file(&sources[i].0, &sources[i].1, cached[i].as_deref()))
+            inner.unwrap_or_else(|| scan_file(&sources[i].0, &sources[i].1))
         })
         .collect()
 }

@@ -331,12 +331,8 @@ impl Rule {
                  findings. rustc only warns downstream crates, and warnings rot;\n\
                  this rule keeps the workspace itself at zero uses so shims can\n\
                  be deleted on schedule (see CHANGELOG.md — the 0.2.0 sweep-API\n\
-                 shims have already been removed this way).\n\n\
-                 Current burndown: `TelemetryEngine::sweep_step` allocates a\n\
-                 fresh scratch per call. Loops should build a `SweepScratch`\n\
-                 once via `sweep_scratch()` and drive `sweep_step_into`, or\n\
-                 feed appended telemetry through `IncrementalSweep::ingest`\n\
-                 (see `IncrementalSweep::builder()`)."
+                 shims, `TelemetryEngine::sweep_step` and\n\
+                 `archive::ArchiveError` have all been removed this way)."
             }
             Rule::AllocInHotPath => {
                 "alloc-in-hot-path (semantic rule)\n\n\

@@ -25,24 +25,25 @@ const POLL_INTERVAL: StdDuration = StdDuration::from_millis(50);
 /// Propagates I/O errors from the reader or writer.
 pub fn serve_stdio<R: BufRead, W: Write>(
     state: &ServeState,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            state.request_shutdown();
+            return Ok(());
         }
-        let reply = state.handle(&line);
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        if let Some(reply) = reply_to(state, &line) {
+            writer.write_all(reply.as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
+        }
         if state.is_shutdown() {
             return Ok(());
         }
     }
-    state.request_shutdown();
-    Ok(())
 }
 
 /// Accepts TCP connections on `listener` until shutdown, serving each
@@ -83,31 +84,41 @@ fn serve_connection(state: &ServeState, stream: TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        // On timeout, any partial line already read stays in `line`
-        // and the next pass appends to it — no bytes are lost.
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {
-                if !line.trim().is_empty() {
-                    let reply = state.handle(line.trim_end());
-                    writer.write_all(reply.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
-                }
-                line.clear();
-                if state.is_shutdown() {
-                    return Ok(());
-                }
-            }
+        // Lines are framed as raw bytes: on timeout, any partial line
+        // already read (even half of a multibyte character) stays in
+        // `line` and the next pass appends to it. A line is decoded
+        // only once it is whole.
+        let eof = match reader.read_until(b'\n', &mut line) {
+            Ok(n) => n == 0,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if state.is_shutdown() {
                     return Ok(());
                 }
+                continue;
             }
             Err(e) => return Err(e),
+        };
+        // At EOF `line` holds whatever followed the last newline.
+        if let Some(reply) = reply_to(state, &line) {
+            writer.write_all(reply.as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
         }
+        line.clear();
+        if eof || state.is_shutdown() {
+            return Ok(());
+        }
+    }
+}
+
+/// The reply to one raw request line, or `None` for a blank one.
+fn reply_to(state: &ServeState, line: &[u8]) -> Option<String> {
+    match std::str::from_utf8(line) {
+        Ok(text) if text.trim().is_empty() => None,
+        Ok(text) => Some(state.handle(text.trim_end())),
+        Err(e) => Some(state.handle_undecodable(e)),
     }
 }
 
@@ -142,6 +153,23 @@ mod tests {
         assert!(lines[1].contains("\"steps_ingested\":8"));
         assert!(lines[2].contains("\"shutting_down\":true"));
         assert!(s.is_shutdown());
+    }
+
+    #[test]
+    fn stdio_answers_a_line_that_is_not_utf8() {
+        let s = state();
+        let mut out = Vec::new();
+        serve_stdio(
+            &s,
+            Cursor::new(b"\xff\n{\"cmd\":\"status\",\"id\":1}\n"),
+            &mut out,
+        )
+        .expect("io");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].contains("not valid UTF-8"), "{text}");
+        assert!(lines[1].contains("\"steps_ingested\""), "{text}");
     }
 
     #[test]
@@ -181,6 +209,59 @@ mod tests {
             assert!(reply.contains("\"shutting_down\":true"), "{reply}");
 
             server.join().expect("join").expect("serve_tcp");
+        });
+    }
+
+    #[test]
+    fn tcp_keeps_a_character_split_across_a_pause() {
+        use std::io::{Read as _, Write as _};
+        use std::net::{Shutdown, TcpListener};
+
+        let s = state();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_tcp(&s, &listener));
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(StdDuration::from_secs(10)))
+                .expect("timeout");
+            stream.set_nodelay(true).expect("nodelay");
+
+            // "é" is 0xC3 0xA9; the pause outlasts the server's read
+            // timeout, so the server sees half a character first.
+            let request = "{\"cmd\":\"status\",\"id\":\"caf\u{e9}\"}\n".as_bytes();
+            let split = request.iter().position(|&b| b == 0xC3).expect("é") + 1;
+            stream.write_all(&request[..split]).expect("write");
+            std::thread::sleep(StdDuration::from_millis(150));
+            stream.write_all(&request[split..]).expect("write");
+            // A line that is not UTF-8 gets an error reply and the
+            // connection stays open.
+            stream.write_all(b"\xff\xfe\n").expect("write");
+            // A last request without a newline is answered at EOF.
+            stream
+                .write_all(b"{\"cmd\":\"shutdown\",\"id\":2}")
+                .expect("write");
+            stream.shutdown(Shutdown::Write).expect("half-close");
+
+            let mut replies = String::new();
+            let read = stream.read_to_string(&mut replies);
+            // Stop the server even when the connection died early, so a
+            // failing assertion below cannot hang the scope join.
+            s.request_shutdown();
+            server.join().expect("join").expect("serve_tcp");
+            read.expect("read");
+            let lines: Vec<&str> = replies.lines().collect();
+            assert_eq!(lines.len(), 3, "{replies}");
+            let ok = lines
+                .iter()
+                .filter(|l| l.contains("\"ok\":true") && l.contains("\"id\":\"caf\u{e9}\""))
+                .count();
+            assert_eq!(ok, 1, "{replies}");
+            assert!(lines[0].contains("\"steps_ingested\""), "{replies}");
+            assert!(lines[1].contains("\"ok\":false"), "{replies}");
+            assert!(lines[1].contains("not valid UTF-8"), "{replies}");
+            assert!(lines[2].contains("\"shutting_down\":true"), "{replies}");
         });
     }
 }

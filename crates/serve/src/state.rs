@@ -15,6 +15,7 @@
 //! a `figure` query on six ingested years costs one clone of the
 //! bounded running state plus the figure's own arithmetic.
 
+use std::str::Utf8Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -28,7 +29,9 @@ use mira_timeseries::{LinearFit, MonthProfile, SimTime, WeekdayProfile, YearProf
 use mira_units::convert;
 
 use crate::json::Json;
-use crate::protocol::{core_error_reply, ok_reply, parse_request, usage_error_reply, Request};
+use crate::protocol::{
+    core_error_reply, ok_reply, parse_request, usage_error_reply, Request, RequestError,
+};
 use crate::stats::ServeStats;
 
 /// Figure identifiers the `figure` query accepts.
@@ -197,8 +200,22 @@ impl ServeState {
     /// Handles one request line and returns one reply line (without the
     /// trailing newline). Safe to call from any number of threads.
     pub fn handle(&self, line: &str) -> String {
-        let started = Instant::now();
-        let reply = match parse_request(line) {
+        self.answer(Instant::now(), parse_request(line))
+    }
+
+    /// The reply to a request line that is not UTF-8: the
+    /// malformed-request error, counted like any request that fails to
+    /// decode.
+    pub(crate) fn handle_undecodable(&self, e: Utf8Error) -> String {
+        let error = RequestError {
+            id: Json::Null,
+            message: format!("request is not valid UTF-8: {e}"),
+        };
+        self.answer(Instant::now(), Err(error))
+    }
+
+    fn answer(&self, started: Instant, parsed: Result<(Request, Json), RequestError>) -> String {
+        let reply = match parsed {
             Ok((request, id)) => {
                 // Counted before dispatch: a metrics reply's snapshot
                 // includes the very query that produced it, keeping the

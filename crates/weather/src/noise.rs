@@ -98,8 +98,8 @@ impl FractalBank {
     /// contributions accumulate in the same order as
     /// [`ValueNoise::fractal`], and the final division by the shared
     /// norm matches the scalar `total / norm`, so every `out[l]` is
-    /// bit-identical to [`ValueNoise::fractal_with_lane`] at the same
-    /// phase from any prior bank state.
+    /// bit-identical to [`ValueNoise::fractal`] at the same phase from
+    /// any prior bank state.
     ///
     /// Each octave runs as three lane passes: a branch-free phase pass
     /// (`x = (base + l·stride) / period`, the divisions vectorize), a
@@ -347,45 +347,6 @@ impl ValueNoise {
             layers,
         }
     }
-
-    /// [`Self::fractal`] through one lane of a pre-built bank;
-    /// bit-identical to `fractal(t, bank.octaves())` for any prior bank
-    /// state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of the bank's range.
-    #[must_use]
-    // Raw seconds axis, same contract as `fractal`. mira-lint: allow(raw-f64-in-public-api)
-    pub fn fractal_with_lane(&self, t: f64, bank: &mut FractalBank, lane: usize) -> f64 {
-        // Documented panic contract: `lane` must be below `bank.lanes()`,
-        // and every bank is built with one lane per caller-side slot
-        // (rack), so in-tree callers index with `rack.index()` into a
-        // 48-lane bank. mira-lint: allow(panic-reachability)
-        assert!(lane < bank.lanes, "lane out of range");
-        let mut total = 0.0;
-        let mut amplitude = 1.0;
-        let mut norm = 0.0;
-        for (o, layer) in bank.layers.iter().enumerate() {
-            let slot = o * bank.lanes + lane;
-            let x = t / layer.period;
-            // Same integer floor and smoothstep as [`Self::sample_with`],
-            // with the two lattice hashes read from the bank's SoA rows.
-            let cell = convert::i64_from_f64_floor(x);
-            let frac = x - convert::f64_from_i64(cell);
-            if !bank.primed[slot] || bank.cells[slot] != cell {
-                bank.cells[slot] = cell;
-                bank.lo[slot] = layer.lattice(cell);
-                bank.hi[slot] = layer.lattice(cell + 1);
-                bank.primed[slot] = true;
-            }
-            let s = frac * frac * (3.0 - 2.0 * frac);
-            total += (bank.lo[slot] * (1.0 - s) + bank.hi[slot] * s) * amplitude;
-            norm += amplitude;
-            amplitude *= 0.5;
-        }
-        total / norm
-    }
 }
 
 #[cfg(test)]
@@ -466,15 +427,17 @@ mod tests {
         let mut bank = n.fractal_bank(2, 4);
         assert_eq!(bank.octaves(), 2);
         assert_eq!(bank.lanes(), 4);
-        // Lanes sample interleaved at distinct phases (as racks do), and
-        // each must match the cold path at its own phase.
+        let stride = 4.321e6;
+        let mut out = [0.0f64; 4];
+        // Lanes sit at distinct phases (as racks do), each crossing its
+        // own lattice cells at its own steps, and each must match the
+        // cold path at its own phase.
         for k in -2_000i64..2_000 {
-            for lane in 0..4usize {
-                let t = k as f64 * 211.7 + lane as f64 * 4.321e6;
-                assert_eq!(
-                    n.fractal(t, 2).to_bits(),
-                    n.fractal_with_lane(t, &mut bank, lane).to_bits()
-                );
+            let base = k as f64 * 211.7;
+            bank.fractal_lanes_into(base, stride, &mut out);
+            for (lane, v) in out.iter().enumerate() {
+                let t = base + lane as f64 * stride;
+                assert_eq!(n.fractal(t, 2).to_bits(), v.to_bits(), "lane {lane} at {t}");
             }
         }
     }
@@ -495,24 +458,18 @@ mod tests {
                 assert_eq!(n.fractal(t, 2).to_bits(), v.to_bits(), "lane {lane} at {t}");
             }
         }
-        // Interleaving the batch kernel with scalar lane sampling must
-        // not disturb either path (shared cursor state, pure caches).
+        // Interleaving far jumps with fine steps must leave no stale
+        // cursor state behind (every cache is a pure function of cell).
         for k in -500i64..500 {
-            let base = k as f64 * 997.0;
-            if k % 3 == 0 {
-                for lane in 0..4usize {
-                    let t = base + lane as f64 * stride;
-                    assert_eq!(
-                        n.fractal(t, 2).to_bits(),
-                        n.fractal_with_lane(t, &mut bank, lane).to_bits()
-                    );
-                }
+            let base = if k % 3 == 0 {
+                k as f64 * 997.0 - 1.0e8
             } else {
-                bank.fractal_lanes_into(base, stride, &mut out);
-                for (lane, v) in out.iter().enumerate() {
-                    let t = base + lane as f64 * stride;
-                    assert_eq!(n.fractal(t, 2).to_bits(), v.to_bits());
-                }
+                k as f64 * 997.0
+            };
+            bank.fractal_lanes_into(base, stride, &mut out);
+            for (lane, v) in out.iter().enumerate() {
+                let t = base + lane as f64 * stride;
+                assert_eq!(n.fractal(t, 2).to_bits(), v.to_bits());
             }
         }
     }

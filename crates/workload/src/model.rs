@@ -123,38 +123,12 @@ impl WorkloadModel {
         self.demand.sample_with(t, date, &mut cursor.demand)
     }
 
-    /// [`Self::rack_load_with`] through the rack's wobble cursor;
-    /// bit-identical to the cold path.
-    #[must_use]
-    pub fn rack_load_cached(
-        &self,
-        t: SimTime,
-        rack: RackId,
-        demand: &SystemDemand,
-        cursor: &mut WorkloadCursor,
-    ) -> RackLoad {
-        let f = self.profile.factors(rack);
-        let wobble = self
-            .profile
-            .placement_wobble_with(rack, t, &mut cursor.wobble);
-        let utilization = (demand.utilization * f.utilization_factor * wobble).clamp(0.0, 1.0);
-        let intensity = if demand.in_maintenance {
-            demand.intensity
-        } else {
-            (demand.intensity * f.intensity_factor).clamp(0.0, 1.0)
-        };
-        RackLoad {
-            utilization,
-            intensity,
-        }
-    }
-
-    /// [`Self::rack_load_cached`] for every rack at once: lane `l`
+    /// [`Self::rack_load_with`] for every rack at once: lane `l`
     /// receives rack `l`'s utilization and intensity. Bit-identical to
-    /// the scalar path per lane — the wobble lanes share the same cursor
-    /// bank, the clamp expressions match, and the maintenance branch is
-    /// hoisted out of the lane loop (it depends only on the shared
-    /// system demand).
+    /// the scalar path per lane — the wobble lanes sample the same noise
+    /// at the same per-rack phase, the clamp expressions match, and the
+    /// maintenance branch is hoisted out of the lane loop (it depends
+    /// only on the shared system demand).
     ///
     /// Lanes are computed for every rack regardless of availability;
     /// callers that zero out down racks (as the sweep does by skipping
@@ -256,12 +230,6 @@ mod tests {
             let date = t.date();
             let cold = wl.system_demand(t);
             assert_eq!(wl.system_demand_with(t, date, &mut cursor), cold);
-            for rack in RackId::all() {
-                assert_eq!(
-                    wl.rack_load_cached(t, rack, &cold, &mut cursor),
-                    wl.rack_load_with(t, rack, &cold)
-                );
-            }
             t += Duration::from_minutes(15);
         }
         for date in [
@@ -273,11 +241,6 @@ mod tests {
             let t = SimTime::from_date(date) + Duration::from_hours(10);
             let cold = wl.system_demand(t);
             assert_eq!(wl.system_demand_with(t, t.date(), &mut cursor), cold);
-            let r = RackId::new(1, 7);
-            assert_eq!(
-                wl.rack_load_cached(t, r, &cold, &mut cursor),
-                wl.rack_load_with(t, r, &cold)
-            );
         }
     }
 
@@ -285,21 +248,20 @@ mod tests {
     fn lane_kernel_matches_cached_path_bitwise() {
         let wl = WorkloadModel::new(2014);
         let mut lane_cursor = wl.cursor();
-        let mut scalar_cursor = wl.cursor();
         let mut util = [0.0f64; 48];
         let mut intensity = [0.0f64; 48];
         // Fine sweep crossing maintenance Mondays plus jumps; the lane
-        // kernel must match the cached scalar path bit-for-bit.
+        // kernel must match the cold scalar path bit-for-bit.
         let mut t = SimTime::from_date(Date::new(2016, 1, 1));
         let mut saw_maintenance = false;
         for k in 0..(5 * 288) {
             let date = t.date();
             let d = wl.system_demand_with(t, date, &mut lane_cursor);
-            assert_eq!(d, wl.system_demand_with(t, date, &mut scalar_cursor));
+            assert_eq!(d, wl.system_demand(t));
             saw_maintenance |= d.in_maintenance;
             wl.rack_load_lanes(t, &d, &mut lane_cursor, &mut util, &mut intensity);
             for rack in RackId::all() {
-                let cold = wl.rack_load_cached(t, rack, &d, &mut scalar_cursor);
+                let cold = wl.rack_load_with(t, rack, &d);
                 assert_eq!(util[rack.index()].to_bits(), cold.utilization.to_bits());
                 assert_eq!(intensity[rack.index()].to_bits(), cold.intensity.to_bits());
             }

@@ -11,8 +11,10 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use mira_core::obs::keys;
-use mira_core::{Date, Duration, ObsMode, Recorder, SimConfig, SimTime, Simulation, SweepSummary};
+use mira_core::{
+    Date, Duration, Recorder, SimConfig, SimTime, Simulation, SweepStep, SweepSummary,
+    TelemetryEngine,
+};
 
 fn sim() -> &'static Simulation {
     static SIM: OnceLock<Simulation> = OnceLock::new();
@@ -23,6 +25,14 @@ fn at(date: Date) -> SimTime {
     SimTime::from_date(date)
 }
 
+/// The cold per-step reference: a fresh scratch for every instant, so
+/// no cursor or memo state carries over from an earlier call.
+fn cold_step(engine: &TelemetryEngine, t: SimTime) -> SweepStep {
+    let mut scratch = engine.sweep_scratch();
+    engine.sweep_step_into(t, &mut scratch);
+    scratch.into_step()
+}
+
 /// A warm scratch equals a cold step at every probed instant. The probe
 /// order deliberately jumps backwards across the Theta boundary so any
 /// stale validity window would be caught.
@@ -31,10 +41,7 @@ fn assert_scratch_matches_cold(times: &[SimTime]) {
     let mut scratch = engine.sweep_scratch();
     for &t in times {
         engine.sweep_step_into(t, &mut scratch);
-        // The deprecated one-shot is exactly the cold reference needed
-        // here: a fresh scratch per call.
-        #[allow(deprecated)]
-        let cold = engine.sweep_step(t);
+        let cold = cold_step(engine, t);
         assert_eq!(*scratch.step(), cold, "scratch diverged at {t:?}");
         // `PartialEq` on f64 conflates 0.0 with -0.0; the debug
         // rendering does not, so compare that too.
@@ -184,8 +191,7 @@ fn plan_summary_equals_cold_fold_over_theta_quarter() {
     let mut t = from;
     while t < to {
         // Cold per-step reference, deliberately not scratch-warm.
-        #[allow(deprecated)]
-        let step_result = engine.sweep_step(t);
+        let step_result = cold_step(engine, t);
         let m = step_result.civil.date.month().number();
         if m != month {
             partials.push(SweepSummary::empty((from, to), step));
@@ -206,40 +212,14 @@ fn plan_summary_equals_cold_fold_over_theta_quarter() {
     assert_eq!(planned, cold);
 }
 
-/// The hydraulic-solve memo counters are a pure function of the sweep
-/// plan: one miss per grid step, no hits (the scratch path solves
-/// in-place), at every thread count. Random-access snapshots are where
-/// the memo earns its hits.
+/// The hydraulic-solve memo counters count random-access solves only:
+/// a repeated instant hits the memo, and a sweep (which solves in its
+/// own lanes) leaves both counters where they were.
 #[test]
 fn hydro_counters_count_solves_not_luck() {
     // Fresh simulation: counters are engine-global and the shared
     // `sim()` is probed concurrently by the other tests.
     let sim = Simulation::new(SimConfig::with_seed(99));
-    let span = (at(Date::new(2015, 2, 1)), at(Date::new(2015, 2, 8)));
-    let step = Duration::from_hours(1);
-
-    for threads in [1usize, 4] {
-        let observed = sim
-            .summarize_observed(span, step, threads, ObsMode::On)
-            .expect("non-empty span");
-        let steps = observed.report.metrics.counter(keys::SIM_STEPS);
-        assert_eq!(
-            observed
-                .report
-                .metrics
-                .counter(keys::COOLING_HYDRO_CACHE_MISSES),
-            steps,
-            "sweep path solves exactly once per step"
-        );
-        assert_eq!(
-            observed
-                .report
-                .metrics
-                .counter(keys::COOLING_HYDRO_CACHE_HITS),
-            Some(0),
-            "sweep path never consults the memo"
-        );
-    }
 
     // Random access at a repeated instant hits the memo.
     let (h0, m0) = sim.telemetry().hydro_cache_stats();
@@ -250,4 +230,9 @@ fn hydro_counters_count_solves_not_luck() {
     let (h1, m1) = sim.telemetry().hydro_cache_stats();
     assert_eq!(m1 - m0, 1, "first snapshot solves");
     assert_eq!(h1 - h0, 1, "second snapshot reuses the solve");
+
+    let span = (at(Date::new(2015, 2, 1)), at(Date::new(2015, 2, 8)));
+    sim.summarize(span, Duration::from_hours(1))
+        .expect("non-empty span");
+    assert_eq!(sim.telemetry().hydro_cache_stats(), (h1, m1));
 }
